@@ -11,8 +11,8 @@ The harness prints one table per figure with the same rows/series the paper
 plots (diameter on the x axis, one column per %dd series for Figure 3; the
 first/tenth/all rewriting times for Figure 4), plus the node-generation
 rate the paper quotes in the text.  Absolute numbers differ from the 2003
-testbed; EXPERIMENTS.md records a captured run next to the paper's values
-and discusses the shapes.
+testbed; compare the shapes of the printed series with the paper's
+figures, not the values.
 
 The pytest-benchmark files in this directory cover reduced ranges of the
 same sweeps so that ``pytest benchmarks/ --benchmark-only`` stays quick;
@@ -124,7 +124,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="largest PDMS diameter to sweep (paper: 10)")
     parser.add_argument("--max-diameter-fig4", type=int, default=6,
                         help="largest diameter for the all-rewritings sweep "
-                             "(step 3 is exponential; see EXPERIMENTS.md)")
+                             "(step 3 is exponential in the diameter)")
     parser.add_argument("--runs", type=int, default=5,
                         help="runs averaged per data point (paper: 100)")
     parser.add_argument("--num-peers", type=int, default=PAPER_NUM_PEERS)

@@ -12,7 +12,7 @@ mapping percentage (0%, 10%, 25%, 50%).  Its two findings are
 
 The pytest-benchmark tests below reproduce the same series on a reduced
 diameter range so the suite stays fast; run ``python benchmarks/harness.py
---figure 3`` for the full sweep recorded in EXPERIMENTS.md.  Each test also
+--figure 3`` for the full sweep, printed as a table.  Each test also
 asserts the *shape* facts above, so a regression in the generator or the
 reformulation algorithm fails loudly rather than silently changing curves.
 """

@@ -216,8 +216,8 @@ class ColumnTable:
         return total
 
     def __reduce__(self):
-        # Ships across process boundaries for the process-pool executor;
-        # NumPy arrays pickle natively, lists trivially.
+        # Ships across process boundaries in the cache tier's pickled
+        # payloads; NumPy arrays pickle natively, lists trivially.
         return (ColumnTable, (self.columns, self.data, self._length))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -39,7 +39,6 @@ from typing import (
     Union,
 )
 
-from ..config import columnar_enabled
 from ..datalog.atoms import Atom, ComparisonAtom, compare_values
 from ..datalog.evaluation import FactsLike, as_fact_source
 from ..datalog.queries import ConjunctiveQuery, UnionQuery
@@ -865,7 +864,7 @@ def execute_plan(
     facts: FactsLike,
     memo: Optional[Dict[str, Table]] = None,
     *,
-    vectorized: Optional[bool] = None,
+    vectorized: bool = True,
     cost: Optional[CardinalityCostModel] = None,
     feedback: Optional[QErrorLog] = None,
 ) -> Table:
@@ -878,11 +877,10 @@ def execute_plan(
     only, so a memo reused across different (or mutated) data would serve
     stale tables — make one per data source.
 
-    ``vectorized`` selects the execution path: ``True`` lowers the plan
-    onto the :mod:`repro.database.columnar` batch kernels, ``False`` runs
-    the row-at-a-time path, and ``None`` (default) follows the
-    ``REPRO_COLUMNAR`` knob (on unless disabled).  Both paths produce the
-    same :class:`Table`.  ``cost`` (optional) supplies
+    ``vectorized`` selects the execution path: ``True`` (default) lowers
+    the plan onto the :mod:`repro.database.columnar` batch kernels,
+    ``False`` runs the row-at-a-time path.  Both paths produce the same
+    :class:`Table`.  ``cost`` (optional) supplies
     :class:`CardinalityCostModel` statistics so vectorized joins pick
     their build side by estimated cardinality instead of materialised
     size.  ``feedback`` (optional) is a :class:`QErrorLog` that receives
@@ -890,8 +888,6 @@ def execute_plan(
     executed (memoised subplans report only on their first computation).
     """
     source = as_fact_source(facts)
-    if vectorized is None:
-        vectorized = columnar_enabled()
     recorder = _plan_recorder(feedback, source, cost) if feedback is not None else None
     if vectorized:
         return _execute_vectorized(node, source, memo, {}, cost, recorder).to_table()

@@ -1,7 +1,7 @@
 """The ``"distributed"`` execution engine: scatter-gather over peers.
 
 Registered in the :mod:`repro.pdms.execution` engine registry alongside
-``"backtracking"``, ``"plan"``, and ``"shared"``, so anything that selects
+``"backtracking"`` and ``"shared"``, so anything that selects
 an engine by name — the service layer, ``REPRO_DEFAULT_ENGINE``, the CI
 matrix — can run the peer boundary without code changes.
 

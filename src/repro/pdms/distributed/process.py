@@ -55,7 +55,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ...database.instance import Instance
 from ...errors import InstanceError, TransportError
-from ...config import transport_timeout_seconds as _config_transport_timeout
+from ...config import transport_timeout_seconds
 from ...obs.trace import ServeSpan, current_wire_context
 from .hedging import HalfOpenBreaker
 from .transport import (
@@ -76,16 +76,6 @@ from .transport import (
 #: version tokens of two transports — even across client restarts that
 #: recycle worker pids — never compare equal.
 _transport_ids = itertools.count(1)
-
-
-def transport_timeout_seconds() -> float:
-    """RPC timeout from ``REPRO_TRANSPORT_TIMEOUT_MS`` (default 10 000 ms).
-
-    ``0`` disables the timeout (block forever); malformed values raise,
-    like every other ``REPRO_*`` knob — delegates to the consolidated
-    reader (:func:`repro.config.transport_timeout_seconds`).
-    """
-    return _config_transport_timeout()
 
 
 def _serve_peer(conn, instance: Instance) -> None:

@@ -70,7 +70,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...datalog.indexing import WILDCARD, Pattern
 from ...errors import MappingError, TransportError
-from ...config import distributed_workers as _config_distributed_workers
+from ...config import distributed_workers
 from ...obs.metrics import METRICS_SCHEMA_VERSION
 from ...obs.trace import NULL_SPAN, current_span, wire_context
 from .hedging import PeerLatencyTracker, ScanPolicy
@@ -88,16 +88,6 @@ class ScanFailure:
     peer: str
     relation: str
     error: str
-
-
-def distributed_workers_from_env() -> int:
-    """Scatter width from ``REPRO_DISTRIBUTED_WORKERS`` (0 = auto).
-
-    Auto sizes the pool to the peer count (capped at 16).  Malformed
-    values fail fast like every ``REPRO_*`` knob — delegates to the
-    consolidated reader (:func:`repro.config.distributed_workers`).
-    """
-    return _config_distributed_workers()
 
 
 class RemotePeerFactSource:
@@ -435,7 +425,7 @@ class RemotePeerFactSource:
     # -- scanning ----------------------------------------------------------
 
     def _scatter_width(self) -> int:
-        configured = distributed_workers_from_env()
+        configured = distributed_workers()
         if configured:
             return configured
         return min(16, max(2, len(self._peer_names)))

@@ -1,20 +1,15 @@
 """Execution of reformulated queries over the peers' stored relations.
 
 The paper leaves execution to an external (adaptive) query processor; this
-module provides five interchangeable engines behind a small registry:
+module provides three interchangeable engines behind a small registry:
 
 * ``"backtracking"`` — each rewriting through the direct indexed-join
-  conjunctive-query evaluator;
-* ``"plan"`` — each rewriting compiled to a relational-algebra plan first
-  (the route a classical database system would take);
+  conjunctive-query evaluator (the reference the other engines are
+  checked against);
 * ``"shared"`` — the whole union of rewritings compiled into one shared
   union-plan DAG (:mod:`repro.pdms.planning`) with hash-consed common
-  sub-conjunctions evaluated once and an optional worker pool; fragments
-  run on the :mod:`repro.database.columnar` batch kernels unless
-  ``REPRO_COLUMNAR=0``;
-* ``"columnar"`` — the same DAG evaluation with the batch kernels pinned
-  on regardless of ``REPRO_COLUMNAR`` (the name the CI matrix and the
-  kernel benchmarks select);
+  sub-conjunctions evaluated once on the :mod:`repro.database.columnar`
+  batch kernels, optionally on a thread pool (``REPRO_SHARED_WORKERS``);
 * ``"distributed"`` — the shared union plan with every stored-relation
   scan scatter-gathered over a peer-boundary transport
   (:mod:`repro.pdms.distributed`), degrading to best-effort sound-subset
@@ -53,21 +48,16 @@ from typing import (
     Union,
 )
 
+from ..config import shared_workers
 from ..database.feedback import QErrorLog
 from ..database.instance import Instance, relation_creation_clock
-from ..database.planner import evaluate_query_via_plan
 from ..datalog.evaluation import FactsLike, evaluate_query
 from ..datalog.indexing import Pattern
 from ..datalog.queries import ConjunctiveQuery
 from ..errors import EvaluationError, MappingError
 from .materialization import FragmentCache, data_version_token
 from .optimizations import ReformulationConfig
-from .planning import (
-    UnionPlan,
-    ensure_plan,
-    shared_workers_from_env,
-    stream_plan_answers,
-)
+from .planning import UnionPlan, ensure_plan, stream_plan_answers
 from .reformulation import (
     ReformulationResult,
     canonicalize_query,
@@ -184,15 +174,10 @@ class PerRewritingEngine:
 class SharedPlanEngine:
     """Evaluates the whole union through one shared union-plan DAG.
 
-    Common sub-conjunctions across rewritings are computed once per call;
-    ``max_workers`` (or ``REPRO_SHARED_WORKERS``) evaluates independent
-    rewriting roots on a worker pool (thread or process, per
-    ``REPRO_SHARED_EXECUTOR``).  ``columnar`` pins the fragment
-    representation: ``True`` always runs the
-    :mod:`repro.database.columnar` batch kernels, ``False`` always the
-    row path, ``None`` (the stock ``"shared"`` engine) follows the
-    ``REPRO_COLUMNAR`` knob — on by default, so ``"shared"`` uses the
-    kernels under the hood unless explicitly disabled.
+    Common sub-conjunctions across rewritings are computed once per call
+    on the :mod:`repro.database.columnar` batch kernels; ``max_workers``
+    (or ``REPRO_SHARED_WORKERS``) evaluates independent rewriting roots on
+    a thread pool.
     """
 
     uses_plans = True
@@ -201,11 +186,9 @@ class SharedPlanEngine:
         self,
         name: str = "shared",
         max_workers: Optional[int] = None,
-        columnar: Optional[bool] = None,
     ):
         self.name = name
         self._max_workers = max_workers
-        self._columnar = columnar
 
     def stream(
         self,
@@ -218,7 +201,7 @@ class SharedPlanEngine:
         workers = (
             self._max_workers
             if self._max_workers is not None
-            else shared_workers_from_env()
+            else shared_workers()
         )
         if plan is None:
             plan = ensure_plan(result, data)
@@ -232,7 +215,6 @@ class SharedPlanEngine:
             data,
             max_workers=workers,
             cache=cache,
-            columnar=self._columnar,
             feedback=feedback,
         )
 
@@ -577,8 +559,8 @@ def evaluate_reformulation(
     distinct answers are known and returns that subset.
 
     ``engine`` selects the evaluation path (see :func:`registered_engines`;
-    ``"backtracking"``, ``"plan"``, and ``"shared"`` ship by default); all
-    engines return the same answers.
+    ``"backtracking"``, ``"shared"``, and ``"distributed"`` ship by
+    default); all engines return the same answers.
     """
     engine = validate_engine(engine if engine is not None else default_engine())
     if limit is not None and limit < 0:
@@ -659,9 +641,4 @@ def answer_query_batch(
 # ---------------------------------------------------------------------------
 
 register_engine(PerRewritingEngine("backtracking", evaluate_query))
-register_engine(PerRewritingEngine("plan", evaluate_query_via_plan))
 register_engine(SharedPlanEngine("shared"))
-# Same DAG evaluation as "shared", but the batch kernels are pinned on —
-# the engine the CI matrix and the kernel benchmarks select by name,
-# immune to REPRO_COLUMNAR.
-register_engine(SharedPlanEngine("columnar", columnar=True))

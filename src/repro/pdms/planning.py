@@ -23,26 +23,27 @@ same node regardless of the join tree that first built them, and each
 shared fragment's result table is computed **once per execution** and
 reused by every rewriting containing it.
 
-Two tree shapes are supported.  The default is **bushy**: groups of atoms
-are merged pairwise bottom-up (greedy-operator-ordering style), preferring
-merges whose canonical key already exists in the plan's node table, then
-the smallest estimated join output per the stats-driven
+Trees are **bushy**: groups of atoms are merged pairwise bottom-up
+(greedy-operator-ordering style), preferring merges whose canonical key
+already exists in the plan's node table, then the smallest estimated join
+output per the stats-driven
 :class:`~repro.database.planner.CardinalityCostModel`.  Sub-conjunctions
 of *any* shape — not just cost-order prefixes — are therefore shared
-across rewritings.  ``bushy=False`` keeps the PR 3 behaviour (left-deep
-cost-ordered chains, sharing restricted to common prefixes) for
-comparison; both shapes produce identical answers.
+across rewritings.
 
 Execution
 ---------
 :func:`stream_plan_answers` evaluates fragments against any fact source
 (upgraded to an :class:`~repro.datalog.indexing.IndexedFactSource` so leaf
-scans probe hash indexes) with a compute-once memo; rewriting roots can be
-evaluated on an optional thread pool (``max_workers``) while the answer
-iterator keeps the first-k streaming contract: consuming a prefix never
-forces the remaining fragments.  Compilation itself is incremental — the
-plan ingests rewritings lazily from the (memoized, thread-safe) rewriting
-stream, so a ``limit=k`` call compiles only the prefix it evaluates.
+scans probe hash indexes) with a compute-once memo.  Every fragment table
+is a :class:`~repro.database.columnar.ColumnTable` run on the batch
+kernels (NumPy-backed, or list-backed where NumPy is absent).  Rewriting
+roots can be evaluated on an optional thread pool (``max_workers``) while
+the answer iterator keeps the first-k streaming contract: consuming a
+prefix never forces the remaining fragments.  Compilation itself is
+incremental — the plan ingests rewritings lazily from the (memoized,
+thread-safe) rewriting stream, so a ``limit=k`` call compiles only the
+prefix it evaluates.
 
 A :class:`~repro.pdms.materialization.FragmentCache` (optional ``cache``
 argument) adds a second memo level that persists **across** calls: each
@@ -62,9 +63,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ..config import columnar_enabled, shared_executor
-from ..config import shared_workers as _config_shared_workers
-from ..database.algebra import Table
 from ..database.columnar import ColumnTable, compare_cols_mask, compare_mask
 from ..database.columnar import _mask_and as _combine_masks
 from ..database.columnar import _pylist
@@ -77,7 +75,7 @@ from ..datalog.queries import ConjunctiveQuery
 from ..datalog.terms import Variable, is_variable
 from ..errors import EvaluationError
 from ..obs.trace import current_span
-from .materialization import FragmentCache, data_version_token, result_row_count
+from .materialization import FragmentCache, data_version_token
 from .reformulation import ReformulationResult, _LazySeq
 
 Row = Tuple[object, ...]
@@ -119,17 +117,15 @@ class JoinFragment:
     table.  Each child's columns are renamed into this node's canonical
     namespace (``left_rename``/``right_rename``: child column -> this
     namespace) before the natural join; the result is projected to
-    ``columns``.  In left-deep chains the left child already shares the
-    parent namespace, so ``left_rename`` stays empty (identity); bushy
-    nodes rename both children.
+    ``columns``.
     """
 
     key: str
     left_key: str
     right_key: str
+    left_rename: Tuple[Tuple[str, str], ...]
     right_rename: Tuple[Tuple[str, str], ...]
     columns: Tuple[str, ...]
-    left_rename: Tuple[Tuple[str, str], ...] = ()
 
 
 PlanFragment = Union[ScanFragment, JoinFragment]
@@ -169,15 +165,6 @@ class PlanStatistics:
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
-
-def _atom_sort_key(atom: Atom, cost: Optional[CardinalityCostModel]):
-    pattern = tuple(
-        ("c", repr(arg.value)) if not is_variable(arg) else ("v",)
-        for arg in atom.args
-    )
-    estimate = cost.atom_estimate(atom) if cost is not None else 0
-    return (estimate, atom.predicate, atom.arity, pattern)
-
 
 def _render_atom(
     atom: Atom, namespace: Dict[Variable, str]
@@ -290,23 +277,22 @@ class UnionPlan:
     """A shared execution plan for the union of rewritings of one result.
 
     Rewritings are compiled incrementally from ``result.rewritings()`` the
-    first time :meth:`fragments` reaches them, each into a left-deep chain
-    over the hash-consed node table ``nodes``; already-compiled prefixes
-    are reused across rewritings and across calls.  Thread-safe: several
-    executions may iterate :meth:`fragments` concurrently.
+    first time :meth:`fragments` reaches them, each into a bushy tree over
+    the hash-consed node table ``nodes``; already-compiled
+    sub-conjunctions are reused across rewritings and across calls.
+    Thread-safe: several executions may iterate :meth:`fragments`
+    concurrently.
     """
 
     def __init__(
         self,
         result: ReformulationResult,
         cost: Optional[CardinalityCostModel] = None,
-        bushy: bool = True,
         feedback: Optional[QErrorLog] = None,
     ):
         self.result = result
         self.nodes: Dict[str, PlanFragment] = {}
         self.stats = PlanStatistics()
-        self.bushy = bushy
         self.feedback = feedback
         #: Per-fragment estimated row counts as used by this compilation —
         #: after any feedback corrections, so executors can score the plan
@@ -487,10 +473,8 @@ class UnionPlan:
             raise EvaluationError(
                 "cannot compile a rewriting with no relational atoms"
             )
-        if self.bushy:
-            root = self._compile_bushy(atoms)
-            return self._finish_rewriting(rewriting, root.key, root.varmap)
-        return self._compile_left_deep(rewriting)
+        root = self._compile_bushy(atoms)
+        return self._finish_rewriting(rewriting, root.key, root.varmap)
 
     # -- bushy compilation -------------------------------------------------
 
@@ -697,78 +681,6 @@ class UnionPlan:
             head=head,
         )
 
-    # -- left-deep compilation (the PR 3 shape, kept for comparison) --------
-
-    def _compile_left_deep(self, rewriting: ConjunctiveQuery) -> RewritingPlan:
-        remaining = list(enumerate(rewriting.relational_body()))
-        # Canonical names in the rewriting's prefix namespace, assigned at
-        # first occurrence along the chosen atom order.  Because first
-        # occurrences over a prefix do not change when the prefix grows,
-        # these names are stable across prefix extension — shared prefixes
-        # of different rewritings render (and hash) identically.
-        canonical: Dict[Variable, str] = {}
-        root_key: Optional[str] = None
-        prefix_columns: Tuple[str, ...] = ()
-
-        while remaining:
-            # Reuse-aware cost ordering: among connected candidates, prefer
-            # the extension whose prefix fragment already exists in the
-            # node table (its sub-result will come from the memo), then the
-            # smallest estimated scan.  The first rewriting thus compiles
-            # in pure cost order and later rewritings follow the prefixes
-            # it (and the cost ties) established — this is what turns
-            # shared subgoals into shared plan fragments.
-            def score(pair):
-                index, atom = pair
-                rendered, _ = _render_atom(atom, canonical)
-                key = rendered if root_key is None else f"{root_key} & {rendered}"
-                exists = 0 if key in self.nodes else 1
-                return (exists,) + _atom_sort_key(atom, self._cost) + (index,)
-
-            if root_key is not None:
-                bound = set(canonical)
-                connected = [p for p in remaining if p[1].variable_set() & bound]
-                pool = connected or remaining
-            else:
-                pool = remaining
-            chosen = min(pool, key=score)
-            remaining.remove(chosen)
-            atom = chosen[1]
-
-            leaf = self._scan_fragment(atom)
-            rendered, extended = _render_atom(atom, canonical)
-            if root_key is None:
-                # For the first atom the prefix namespace coincides with
-                # the leaf's single-atom namespace.
-                canonical = extended
-                root_key = leaf.key
-                prefix_columns = leaf.columns
-                continue
-            targets = tuple(
-                extended[atom.args[position]] for position in leaf.keep_positions
-            )
-            canonical = extended
-            key = f"{root_key} & {rendered}"
-            node = self.nodes.get(key)
-            if node is None:
-                columns = prefix_columns + tuple(
-                    t for t in targets if t not in prefix_columns
-                )
-                node = JoinFragment(
-                    key=key,
-                    left_key=root_key,
-                    right_key=leaf.key,
-                    right_rename=tuple(zip(leaf.columns, targets)),
-                    columns=columns,
-                )
-                self.nodes[key] = node
-                self.stats.unique_fragments += 1
-            self.stats.fragment_references += 1
-            root_key = key
-            prefix_columns = node.columns
-
-        return self._finish_rewriting(rewriting, root_key, canonical)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats
         return (
@@ -781,7 +693,6 @@ def compile_reformulation(
     result: ReformulationResult,
     data: Optional[FactsLike] = None,
     cost: Optional[CardinalityCostModel] = None,
-    bushy: bool = True,
     feedback: Optional[QErrorLog] = None,
 ) -> UnionPlan:
     """Compile ``result`` into a (lazily populated) shared union plan.
@@ -789,16 +700,14 @@ def compile_reformulation(
     ``data`` (or a prebuilt ``cost`` model) steers the cost-based join
     order; without either the canonical atom order is used.  The plan stays
     correct if the data later changes — only join-order quality is tied to
-    the statistics seen at compile time.  ``bushy=False`` restricts
-    sharing to left-deep cost-order prefixes (the PR 3 shape, kept for
-    comparison benchmarks).  ``feedback`` (optional) supplies a
+    the statistics seen at compile time.  ``feedback`` (optional) supplies a
     :class:`~repro.database.feedback.QErrorLog` whose version-scoped
     cardinality corrections override the model's estimates during join
     ordering (see ``docs/adaptivity.md``).
     """
     if cost is None and data is not None:
         cost = CardinalityCostModel(data)
-    return UnionPlan(result, cost, bushy=bushy, feedback=feedback)
+    return UnionPlan(result, cost, feedback=feedback)
 
 
 _ENSURE_LOCK = threading.Lock()
@@ -852,7 +761,7 @@ class _OnceMap:
         self._values: Dict[str, Tuple[str, object]] = {}
         self._pending: Dict[str, threading.Event] = {}
 
-    def get_or_compute(self, key: str, compute) -> Table:
+    def get_or_compute(self, key: str, compute) -> ColumnTable:
         while True:
             with self._lock:
                 entry = self._values.get(key)
@@ -891,42 +800,21 @@ class _OnceMap:
         return value  # type: ignore[return-value]
 
 
-def _scan_table(node: ScanFragment, source) -> Table:
-    try:
-        candidates = source.get_matching(node.relation, node.pattern)
-    except ValueError as exc:
-        raise EvaluationError(f"relation {node.relation!r}: {exc}") from exc
-    rows: List[Row] = []
-    for row in candidates:
-        if any(row[i] != row[j] for i, j in node.equal_positions):
-            continue
-        rows.append(tuple(row[p] for p in node.keep_positions))
-    return Table(node.columns, rows)
-
-
 def _scan_columnar(node: ScanFragment, source) -> ColumnTable:
     """Columnar scan: transpose matching rows once, filter and project in
-    batch.  This is the only transpose of the columnar fragment pipeline —
+    batch.  This is the only transpose of the fragment pipeline —
     everything above stays column-wise."""
     try:
         candidates = source.get_matching(node.relation, node.pattern)
     except ValueError as exc:
         raise EvaluationError(f"relation {node.relation!r}: {exc}") from exc
-    # Dedup like the row path's frozenset (federated sources may serve the
-    # same fact from several peers); fragments above preserve distinctness.
+    # Federated sources may serve the same fact from several peers;
+    # fragments above preserve distinctness.
     rows = list(dict.fromkeys(candidates))
     width = len(node.pattern)
     ct = ColumnTable.from_rows(tuple(f"__p{i}" for i in range(width)), rows)
     ct = ct.fused_select(equal_pairs=node.equal_positions)
     return ct.project_positions(node.keep_positions, node.columns)
-
-
-def _as_row_table(value) -> Table:
-    return value.to_table() if isinstance(value, ColumnTable) else value
-
-
-def _as_columnar(value) -> ColumnTable:
-    return value if isinstance(value, ColumnTable) else ColumnTable.from_table(value)
 
 
 def _worth_caching(node: PlanFragment) -> bool:
@@ -944,34 +832,15 @@ def _worth_caching(node: PlanFragment) -> bool:
     )
 
 
-def _join_fragment_tables(node: JoinFragment, left, right):
-    """Rename/join/project two child tables under a join fragment.
-
-    ``left``/``right`` are either both :class:`Table` or both
-    :class:`ColumnTable` — the operator surface is identical, so one
-    helper serves the row path, the columnar path, and the process-pool
-    workers."""
-    if node.left_rename:
-        left = left.rename(dict(node.left_rename))
-    joined = left.natural_join(right.rename(dict(node.right_rename)))
-    return joined.project(node.columns)
-
-
 def _fragment_table(
     plan: UnionPlan,
     key: str,
     source,
     memo: _OnceMap,
     cache: Optional[FragmentCache] = None,
-    columnar: bool = False,
     feedback: Optional[QErrorLog] = None,
-):
-    """The table of fragment ``key``: a :class:`ColumnTable` in columnar
-    mode, a row :class:`Table` otherwise.
-
-    Memo and cross-call cache entries store whichever representation the
-    computing call ran in; readers coerce on the way out, so a cache
-    shared between modes stays correct (at a one-off conversion cost).
+) -> ColumnTable:
+    """The :class:`ColumnTable` of fragment ``key``.
 
     ``feedback`` (optional) receives one ``(estimated, actual)``
     observation per fragment *freshly computed* here — memo and
@@ -987,20 +856,20 @@ def _fragment_table(
         )
         with span:
             if isinstance(node, ScanFragment):
-                if columnar:
-                    value = _scan_columnar(node, source)
-                else:
-                    value = _scan_table(node, source)
+                value = _scan_columnar(node, source)
             else:
                 left = _fragment_table(
-                    plan, node.left_key, source, memo, cache, columnar, feedback
+                    plan, node.left_key, source, memo, cache, feedback
                 )
                 right = _fragment_table(
-                    plan, node.right_key, source, memo, cache, columnar, feedback
+                    plan, node.right_key, source, memo, cache, feedback
                 )
-                value = _join_fragment_tables(node, left, right)
+                joined = left.rename(dict(node.left_rename)).natural_join(
+                    right.rename(dict(node.right_rename))
+                )
+                value = joined.project(node.columns)
             if span.recording:
-                span.set("rows", result_row_count(value))
+                span.set("rows", len(value))
         if feedback is not None:
             relations = plan.fragment_relations(key)
             columns: Tuple[Tuple[str, int], ...] = ()
@@ -1015,7 +884,7 @@ def _fragment_table(
                 relations,
                 data_version_token(source, relations),
                 plan.estimates.get(key),
-                result_row_count(value),
+                len(value),
                 columns,
             )
         return value
@@ -1028,17 +897,25 @@ def _fragment_table(
                 return cache.get_or_compute(key, token, relations, build)
         return build()
 
-    value = memo.get_or_compute(key, compute)
-    return _as_columnar(value) if columnar else _as_row_table(value)
+    return memo.get_or_compute(key, compute)
 
 
 _FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _columnar_root_answers(
-    ct: ColumnTable, rewriting_plan: RewritingPlan
+def _evaluate_rewriting_plan(
+    plan: UnionPlan,
+    rewriting_plan: RewritingPlan,
+    source,
+    memo: _OnceMap,
+    cache: Optional[FragmentCache] = None,
+    feedback: Optional[QErrorLog] = None,
 ) -> Set[Row]:
-    """Comparisons + head projection of one rewriting root, in batch."""
+    """One rewriting root: its fragment table, then comparisons and head
+    projection in batch."""
+    ct = _fragment_table(
+        plan, rewriting_plan.root_key, source, memo, cache, feedback
+    )
     mask = None
     for left, op, right in rewriting_plan.comparisons:
         (lkind, lpayload), (rkind, rpayload) = left, right
@@ -1070,105 +947,11 @@ def _columnar_root_answers(
     return set(zip(*out_cols))
 
 
-def _row_root_answers(table: Table, rewriting_plan: RewritingPlan) -> Set[Row]:
-    index = {column: i for i, column in enumerate(table.columns)}
-
-    def value(row: Row, operand: Operand) -> object:
-        kind, payload = operand
-        return row[index[payload]] if kind == "col" else payload
-
-    answers: Set[Row] = set()
-    for row in table.rows:
-        if all(
-            compare_values(value(row, left), op, value(row, right))
-            for left, op, right in rewriting_plan.comparisons
-        ):
-            answers.add(tuple(value(row, operand) for operand in rewriting_plan.head))
-    return answers
-
-
-def _evaluate_rewriting_plan(
-    plan: UnionPlan,
-    rewriting_plan: RewritingPlan,
-    source,
-    memo: _OnceMap,
-    cache: Optional[FragmentCache] = None,
-    columnar: Optional[bool] = None,
-    feedback: Optional[QErrorLog] = None,
-) -> Set[Row]:
-    if columnar is None:
-        columnar = columnar_enabled()
-    table = _fragment_table(
-        plan, rewriting_plan.root_key, source, memo, cache, columnar, feedback
-    )
-    if columnar:
-        return _columnar_root_answers(table, rewriting_plan)
-    return _row_root_answers(table, rewriting_plan)
-
-
-def shared_workers_from_env() -> int:
-    """Worker count for the shared engine from ``REPRO_SHARED_WORKERS``.
-
-    ``0`` (the default) means sequential in-thread execution; a
-    non-integer or negative value raises :class:`EvaluationError` at call
-    time (fail fast, like an unknown engine name).  Delegates to the
-    consolidated knob module (:func:`repro.config.shared_workers`), which
-    gives every ``REPRO_*`` knob the same treatment.
-    """
-    return _config_shared_workers()
-
-
-def _collect_subplan(plan: UnionPlan, root_key: str) -> Dict[str, PlanFragment]:
-    """The fragment nodes reachable from ``root_key`` (a picklable dict)."""
-    nodes: Dict[str, PlanFragment] = {}
-    stack = [root_key]
-    while stack:
-        key = stack.pop()
-        if key in nodes:
-            continue
-        node = plan.nodes[key]
-        nodes[key] = node
-        if isinstance(node, JoinFragment):
-            stack.append(node.left_key)
-            stack.append(node.right_key)
-    return nodes
-
-
-def _evaluate_payload(payload) -> Set[Row]:
-    """Process-pool worker: joins + comparisons + head for one root.
-
-    ``payload`` carries the root's fragment subgraph, the pre-evaluated
-    scan tables (the parent evaluates scans against the live source, which
-    never crosses the process boundary), the rewriting root, and the
-    representation flag.  Runs in a worker process — everything it touches
-    must stay picklable, which :class:`ColumnTable` (``__reduce__``) and
-    the frozen fragment dataclasses are.
-    """
-    nodes, rewriting_plan, scans, columnar = payload
-    memo: Dict[str, object] = dict(scans)
-
-    def table_of(key: str):
-        value = memo.get(key)
-        if value is None:
-            node = nodes[key]
-            value = memo[key] = _join_fragment_tables(
-                node, table_of(node.left_key), table_of(node.right_key)
-            )
-        return value
-
-    root = table_of(rewriting_plan.root_key)
-    if columnar:
-        return _columnar_root_answers(_as_columnar(root), rewriting_plan)
-    return _row_root_answers(_as_row_table(root), rewriting_plan)
-
-
 def stream_plan_answers(
     plan: UnionPlan,
     data: FactsLike,
     max_workers: Optional[int] = None,
     cache: Optional[FragmentCache] = None,
-    columnar: Optional[bool] = None,
-    executor: Optional[str] = None,
     feedback: Optional[QErrorLog] = None,
 ) -> Iterator[Row]:
     """Yield distinct answer rows of the union plan as fragments evaluate.
@@ -1176,22 +959,11 @@ def stream_plan_answers(
     Sequentially (``max_workers`` 0/None/1), rewriting roots are evaluated
     in enumeration order and shared fragments are served from the per-call
     memo.  With ``max_workers`` > 1, up to that many rewriting roots are
-    evaluated concurrently (a bounded window keeps the first-k contract:
-    abandoning the iterator cancels unstarted work).  Answers are
-    identical either way — only completion order differs, and the dedup
-    set makes the yielded row set equal.
-
-    ``columnar`` selects the fragment representation (``None`` follows
-    ``REPRO_COLUMNAR``): column-wise batches run the
-    :mod:`repro.database.columnar` kernels, whose NumPy ops release the
-    GIL — the thread-pooled path then scales on multicore.  ``executor``
-    (``"thread"``/``"process"``; ``None`` follows ``REPRO_SHARED_EXECUTOR``)
-    picks the worker pool: with ``"process"``, the parent evaluates each
-    root's *scans* (they need the live source) and ships the join tree to
-    worker processes, so even the pure-Python kernel fallback scales with
-    cores — at the price of per-task serialisation and no cross-root join
-    sharing (join fragments are rebuilt per task; scans still share the
-    parent-side memo and cache).
+    evaluated concurrently on a thread pool (a bounded window keeps the
+    first-k contract: abandoning the iterator cancels unstarted work); the
+    columnar kernels' NumPy ops release the GIL, so large batches scale on
+    multicore.  Answers are identical either way — only completion order
+    differs, and the dedup set makes the yielded row set equal.
 
     ``cache`` (optional) is a cross-call
     :class:`~repro.pdms.materialization.FragmentCache`: fragment tables
@@ -1210,8 +982,6 @@ def stream_plan_answers(
     source = ensure_indexed(as_fact_source(data))
     memo = _OnceMap()
     seen: Set[Row] = set()
-    if columnar is None:
-        columnar = columnar_enabled()
     if not max_workers or max_workers <= 1:
         replanning = (
             feedback is not None and feedback.replan and plan._cost is not None
@@ -1227,7 +997,7 @@ def stream_plan_answers(
                 return
             consumed += 1
             for row in _evaluate_rewriting_plan(
-                plan, rewriting_plan, source, memo, cache, columnar, feedback
+                plan, rewriting_plan, source, memo, cache, feedback
             ):
                 if row not in seen:
                     seen.add(row)
@@ -1242,52 +1012,14 @@ def stream_plan_answers(
                 blown_seen = feedback.blown_events
                 replans_left -= 1
                 feedback.stats.replans += 1
-                plan = UnionPlan(
-                    plan.result, plan._cost, bushy=plan.bushy, feedback=feedback
-                )
+                plan = UnionPlan(plan.result, plan._cost, feedback=feedback)
                 fragment_iter = islice(plan.fragments(), consumed, None)
 
-    if executor is None:
-        executor = shared_executor()
-    if executor == "process":
-        from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        def submit_process(pool, rewriting_plan):
-            nodes = _collect_subplan(plan, rewriting_plan.root_key)
-            # Only the parent-side scans are measured: join fragments run
-            # in worker processes where the feedback log cannot reach.
-            scans = {
-                key: _fragment_table(
-                    plan, key, source, memo, cache, columnar, feedback
-                )
-                for key, node in nodes.items()
-                if isinstance(node, ScanFragment)
-            }
-            return pool.submit(
-                _evaluate_payload, (nodes, rewriting_plan, scans, columnar)
-            )
-
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        submit = submit_process
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def submit_thread(pool, rewriting_plan):
-            return pool.submit(
-                _evaluate_rewriting_plan,
-                plan,
-                rewriting_plan,
-                source,
-                memo,
-                cache,
-                columnar,
-                feedback,
-            )
-
-        pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-shared"
-        )
-        submit = submit_thread
+    pool = ThreadPoolExecutor(
+        max_workers=max_workers, thread_name_prefix="repro-shared"
+    )
     try:
         window: deque = deque()
         fragment_iter = plan.fragments()
@@ -1300,7 +1032,15 @@ def stream_plan_answers(
                 except StopIteration:
                     exhausted = True
                     break
-                window.append(submit(pool, rewriting_plan))
+                window.append(pool.submit(
+                    _evaluate_rewriting_plan,
+                    plan,
+                    rewriting_plan,
+                    source,
+                    memo,
+                    cache,
+                    feedback,
+                ))
             if not window:
                 return
             for row in window.popleft().result():
@@ -1317,8 +1057,6 @@ def evaluate_plan(
     limit: Optional[int] = None,
     max_workers: Optional[int] = None,
     cache: Optional[FragmentCache] = None,
-    columnar: Optional[bool] = None,
-    executor: Optional[str] = None,
     feedback: Optional[QErrorLog] = None,
 ) -> Set[Row]:
     """Evaluate the whole union plan (or the first ``limit`` answers)."""
@@ -1332,8 +1070,6 @@ def evaluate_plan(
         data,
         max_workers=max_workers,
         cache=cache,
-        columnar=columnar,
-        executor=executor,
         feedback=feedback,
     ):
         answers.add(row)

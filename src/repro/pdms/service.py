@@ -184,7 +184,8 @@ class QueryService:
         ablations should run one service per configuration.
     engine:
         Default execution engine — any registered name
-        (``"backtracking"``, ``"plan"``, or ``"shared"`` by default).
+        (``"backtracking"``, ``"shared"``, or ``"distributed"`` by
+        default).
     data:
         Stored-relation data: either a single fact source, or a mapping
         from peer name to that peer's :class:`Instance` (kept per peer —

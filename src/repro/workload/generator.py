@@ -75,8 +75,8 @@ class GeneratorParameters:
     #: Longer inclusion chains are only *usable* by the reformulation
     #: algorithm when a goal's siblings happen to match the chain (MiniCon
     #: must be able to export the join variables), so values above 1 mostly
-    #: add mappings that the algorithm proves irrelevant — see
-    #: EXPERIMENTS.md for the discussion of this reconstruction choice.
+    #: add mappings that the algorithm proves irrelevant — which is why this
+    #: reconstruction defaults to 1.
     inclusion_chain_length: int = 1
     #: Number of atoms in the benchmark query (a chain over stratum-0 relations).
     query_length: int = 2

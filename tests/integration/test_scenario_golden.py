@@ -3,7 +3,8 @@
 These pin the externally observable behaviour of the reformulation
 algorithm on the paper's Figure-1 scenario — rewriting counts, rule-goal
 tree sizes, the first rewriting produced by the streaming enumeration,
-and the answer sets — under all three execution engines and every
+and the answer sets — under the ``backtracking`` and ``shared`` engines
+(the latter also threaded and without NumPy) and every
 :class:`ReformulationConfig` optimization toggle, so the Section 4.3
 ablations can't silently regress.
 
@@ -14,6 +15,7 @@ algorithm's output changed, which must be deliberate.
 
 import pytest
 
+from repro.database import columnar
 from repro.pdms import (
     ExpansionOrder,
     ReformulationConfig,
@@ -95,13 +97,29 @@ class TestGoldenShape:
             assert str(first[0]) == expected
 
 
+#: Execution legs: the reference engine, the shared union plan, and the
+#: shared plan on its thread window and on the pure-Python kernels.
+ENGINE_LEGS = {
+    "backtracking": ("backtracking", {}, False),
+    "shared": ("shared", {}, False),
+    "shared-threads": ("shared", {"REPRO_SHARED_WORKERS": "4"}, False),
+    "shared-no-numpy": ("shared", {}, True),
+}
+
+
 class TestGoldenAnswers:
-    @pytest.mark.parametrize("engine", ["backtracking", "plan", "shared", "columnar"])
+    @pytest.mark.parametrize("engine", list(ENGINE_LEGS))
     @pytest.mark.parametrize("name", sorted(GOLDEN_ANSWERS))
-    def test_answers_under_all_engines(self, scenario, name, engine):
+    def test_answers_under_all_engines(self, scenario, monkeypatch, name, engine):
+        engine_name, env, without_numpy = ENGINE_LEGS[engine]
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        if without_numpy:
+            monkeypatch.setattr(columnar, "np", None)
         pdms, data, queries = scenario
         result = reformulate(pdms, queries[name])
-        assert evaluate_reformulation(result, data, engine=engine) == GOLDEN_ANSWERS[name]
+        assert evaluate_reformulation(
+            result, data, engine=engine_name) == GOLDEN_ANSWERS[name]
 
     @pytest.mark.parametrize("config_name", sorted(TOGGLED_CONFIGS))
     @pytest.mark.parametrize("name", sorted(GOLDEN_ANSWERS))

@@ -3,9 +3,9 @@
 Two families over random small PDMSs:
 
 * **Fault-free equivalence** — the ``"distributed"`` engine (loopback
-  transport) agrees with ``"backtracking"``, ``"plan"``, ``"shared"``,
-  and the chase oracle on every query, including under interleaved peer
-  join/leave and data mutation, and always reports ``complete=True``.
+  transport) agrees with ``"backtracking"``, ``"shared"``, and the chase
+  oracle on every query, including under interleaved peer join/leave and
+  data mutation, and always reports ``complete=True``.
 * **Chaos soundness** — with injected peer failures or dropped scan RPCs,
   every distributed answer is a *subset* of the chase oracle's, and
   whenever anything was actually lost the ``completeness`` flag is
@@ -44,7 +44,7 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-ALL_ENGINES = ("backtracking", "plan", "shared", "columnar", "distributed")
+ALL_ENGINES = ("backtracking", "shared", "distributed")
 
 
 def _oracle(pdms, query, data):

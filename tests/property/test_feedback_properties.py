@@ -40,7 +40,7 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-ALL_ENGINES = ("backtracking", "plan", "shared", "columnar", "distributed")
+ALL_ENGINES = ("backtracking", "shared", "distributed")
 
 
 class TestMeasurementTruthfulness:
@@ -62,7 +62,7 @@ class TestMeasurementTruthfulness:
                 if obs.key in plan.nodes:
                     table = _fragment_table(
                         plan, obs.key, source, _OnceMap())
-                    assert len(table.rows) == obs.actual, (engine, obs.key)
+                    assert len(table) == obs.actual, (engine, obs.key)
                 else:
                     # Whole-rewriting observations (per-rewriting engines
                     # measure at rewriting granularity): bounded by the
@@ -87,19 +87,17 @@ class TestMeasurementTruthfulness:
             for obs in log.observations():
                 if obs.key in plan.nodes:
                     table = _fragment_table(plan, obs.key, source, _OnceMap())
-                    assert len(table.rows) == obs.actual
+                    assert len(table) == obs.actual
 
 
 class TestAdaptiveEquivalence:
-    @given(spec=pdms_specs(), ops=data_mutation_specs(),
-           engine=st.sampled_from(("shared", "columnar")))
+    @given(spec=pdms_specs(), ops=data_mutation_specs())
     @settings(max_examples=25, **COMMON)
-    def test_adaptive_equals_fresh_and_oracle_under_mutation(
-            self, spec, ops, engine):
+    def test_adaptive_equals_fresh_and_oracle_under_mutation(self, spec, ops):
         """query → mutate → query with the full loop on, vs both oracles."""
         pdms, data, queries = build_pdms(spec)
         service = QueryService(
-            pdms, data=data, engine=engine, adaptive=True,
+            pdms, data=data, engine="shared", adaptive=True,
             fragment_cache_bytes=0,
         )
         for _ in range(2):  # repeat pass: corrections + possible races live

@@ -50,5 +50,5 @@ class TestPlanExecutorAgreement:
         data = populate_workload(workload, rows_per_relation=5, domain_size=3)
         result = reformulate(workload.pdms, workload.query)
         backtracking = evaluate_reformulation(result, data, engine="backtracking")
-        plan = evaluate_reformulation(result, data, engine="plan")
-        assert backtracking == plan
+        shared = evaluate_reformulation(result, data, engine="shared")
+        assert backtracking == shared

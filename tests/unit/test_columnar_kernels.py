@@ -3,17 +3,16 @@
 Covers the :class:`~repro.database.columnar.ColumnTable` kernels (join,
 fused select, project/rename, distinct, union, comparison masks) against
 the row algebra as oracle, the dtype-sniffing edge cases that force the
-pure-Python fallback (mixed dtypes, NaN, big integers, NumPy absent), the
-vectorized planner mode, and the process-pool / REPRO_* knob plumbing.
+pure-Python fallback (mixed dtypes, NaN, big integers, NumPy absent), and
+the vectorized planner mode.
 """
 
 import random
 
 import pytest
 
-from repro.config import columnar_enabled, shared_executor
 from repro.database.algebra import Table
-from repro.database import columnar
+from repro.database import columnar, planner
 from repro.database.columnar import (
     ColumnTable,
     compare_cols_mask,
@@ -304,20 +303,26 @@ class TestVectorizedPlanner:
         assert execute_plan(plan, instance, vectorized=True, cost=cost).rows \
             == execute_plan(plan, instance, vectorized=False).rows
 
-    def test_knob_selects_default_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        assert columnar_enabled() is False
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
-        assert columnar_enabled() is True
-        monkeypatch.setenv("REPRO_COLUMNAR", "yes")
-        with pytest.raises(EvaluationError):
-            columnar_enabled()
+    def test_default_path_is_vectorized(self, monkeypatch):
+        """``execute_plan`` lowers onto the batch kernels unless the caller
+        asks for the row path; the retired ``REPRO_COLUMNAR`` variable no
+        longer changes that."""
+        lowered = []
+        lower = planner._execute_vectorized
 
-    def test_executor_knob_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARED_EXECUTOR", "fibers")
-        with pytest.raises(EvaluationError) as excinfo:
-            shared_executor()
-        assert "REPRO_SHARED_EXECUTOR" in str(excinfo.value)
+        def spy(*args, **kwargs):
+            lowered.append(args[0])
+            return lower(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "_execute_vectorized", spy)
+        monkeypatch.setenv("REPRO_COLUMNAR", "0")
+        instance = build_instance()
+        plan = compile_query(parse_query("Q(x, z) :- r(x, y), s(y, z)"), instance)
+        default = execute_plan(plan, instance)
+        assert lowered
+        lowered.clear()
+        assert execute_plan(plan, instance, vectorized=False).rows == default.rows
+        assert lowered == []
 
     def test_vectorized_planner_without_numpy(self, no_numpy):
         instance = build_instance()

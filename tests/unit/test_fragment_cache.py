@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import shared_workers
 from repro.database import Instance, Table
 from repro.datalog.parser import parse_query
 from repro.errors import EvaluationError, PDMSConfigurationError
@@ -21,7 +22,6 @@ from repro.pdms import (
     int_from_env,
     reformulate,
 )
-from repro.pdms.planning import shared_workers_from_env
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ class TestEnvHandling:
     def test_shared_workers_fails_fast(self, monkeypatch, bad):
         monkeypatch.setenv("REPRO_SHARED_WORKERS", bad)
         with pytest.raises(EvaluationError, match="REPRO_SHARED_WORKERS"):
-            shared_workers_from_env()
+            shared_workers()
 
     @pytest.mark.parametrize("bad", ["nope", "-5"])
     def test_fragment_cache_env_fails_fast(self, monkeypatch, bad):
@@ -220,7 +220,7 @@ class TestCachedExecution:
     def test_warm_answers_equal_cold_for_every_engine(self):
         pdms, query, instance = _two_hop_pdms()
         expected = None
-        for engine in ("backtracking", "plan", "shared", "columnar"):
+        for engine in ("backtracking", "shared"):
             cache = FragmentCache(max_bytes=1 << 20)
             result = reformulate(pdms, query)
             cold = evaluate_reformulation(
@@ -337,16 +337,14 @@ class TestCachedExecution:
 
 
 class TestBushySharing:
-    def test_bushy_and_left_deep_agree_with_backtracking(self):
+    def test_bushy_plan_agrees_with_backtracking(self):
         pdms, query, instance = _two_hop_pdms()
         result = reformulate(pdms, query)
         data = {"P": instance}
         expected = evaluate_reformulation(result, data, engine="backtracking")
         source = PeerFactSource(data)
-        bushy = compile_reformulation(result, source, bushy=True)
-        left = compile_reformulation(result, source, bushy=False)
-        assert evaluate_plan(bushy, source) == expected
-        assert evaluate_plan(left, source) == expected
+        plan = compile_reformulation(result, source)
+        assert evaluate_plan(plan, source) == expected
 
     def test_bushy_shares_non_prefix_subconjunctions(self):
         """{M ⋈ R} is shared even though the cost order starts at L_i."""
@@ -362,21 +360,21 @@ class TestBushySharing:
         pdms.add_storage_description(StorageDescription(
             "P", "s_r", parse_query("V(x, y) :- P:R(x, y)")))
         data = {}
-        # L_i tiny (cheapest atom => left-deep prefixes start there),
-        # M large, R small but joining M very selectively.
+        # L_i tiny (the cheapest atom, so a cost-order prefix would start
+        # there), M large, R small but joining M very selectively.
         for i in range(4):
             data[f"s_l_{i}"] = {(j, j + i) for j in range(15)}
         data["s_m"] = {(j % 40, j) for j in range(400)}
         data["s_r"] = {(j * 17 % 400, j) for j in range(20)}
         query = parse_query("Q(x, w) :- P:L(x, y), P:M(y, z), P:R(z, w)")
         result = reformulate(pdms, query)
-        bushy = compile_reformulation(result, data, bushy=True)
-        left = compile_reformulation(result, data, bushy=False)
-        assert evaluate_plan(bushy, data) == evaluate_plan(left, data)
+        plan = compile_reformulation(result, data)
+        assert evaluate_plan(plan, data) == evaluate_reformulation(
+            result, data, engine="backtracking")
         assert any(
-            key.startswith("s_m(") and "s_r(" in key for key in bushy.nodes
+            key.startswith("s_m(") and "s_r(" in key for key in plan.nodes
         ), "expected a shared {M,R} fragment"
-        assert bushy.stats.sharing_ratio > left.stats.sharing_ratio
+        assert plan.stats.sharing_ratio > 0
 
     def test_alpha_equivalent_sets_share_one_node_regardless_of_order(self):
         from repro.pdms.planning import _canonical_parts, _conjunction_key

@@ -58,9 +58,19 @@ def build_service(engine="shared", max_entries=1024):
     return service, data, queries
 
 
-@pytest.mark.parametrize("engine", ["backtracking", "shared", "columnar", "distributed"])
-def test_concurrent_answers_keep_counters_exact(engine):
-    """N threads x M rounds: totals must add up to the call count exactly."""
+@pytest.mark.parametrize("engine, workers", [
+    pytest.param("backtracking", None, id="backtracking"),
+    pytest.param("shared", None, id="shared"),
+    pytest.param("shared", "4", id="shared-threads"),
+    pytest.param("distributed", None, id="distributed"),
+])
+def test_concurrent_answers_keep_counters_exact(engine, workers, monkeypatch):
+    """N threads x M rounds: totals must add up to the call count exactly.
+
+    ``shared-threads`` nests the union plan's own thread window inside the
+    caller threads."""
+    if workers is not None:
+        monkeypatch.setenv("REPRO_SHARED_WORKERS", workers)
     service, data, queries = build_service(engine=engine)
     combined = combine_peer_instances(data)
     expected = [certain_answers(service.pdms, q, combined) for q in queries]

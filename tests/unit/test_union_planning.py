@@ -14,6 +14,7 @@ Covers, per layer:
 
 import pytest
 
+from repro.config import shared_workers
 from repro.database import (
     CardinalityCostModel,
     Instance,
@@ -45,7 +46,6 @@ from repro.pdms import (
     validate_engine,
 )
 from repro.pdms import execution as execution_module
-from repro.pdms.planning import shared_workers_from_env
 
 
 @pytest.fixture
@@ -109,7 +109,6 @@ class TestUnionPlanSharing:
         data = fan_out_data()
         result = reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY))
         expected = evaluate_reformulation(result, data, engine="backtracking")
-        assert evaluate_reformulation(result, data, engine="plan") == expected
         assert evaluate_reformulation(result, data, engine="shared") == expected
 
     def test_parallel_execution_matches_sequential(self, fan_out_pdms):
@@ -167,19 +166,19 @@ class TestUnionPlanSharing:
 
     def test_workers_env_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARED_WORKERS", "3")
-        assert shared_workers_from_env() == 3
+        assert shared_workers() == 3
         monkeypatch.setenv("REPRO_SHARED_WORKERS", "lots")
         with pytest.raises(EvaluationError):
-            shared_workers_from_env()
+            shared_workers()
         monkeypatch.setenv("REPRO_SHARED_WORKERS", "-1")
         with pytest.raises(EvaluationError):
-            shared_workers_from_env()
+            shared_workers()
 
 
 class TestEngineRegistry:
     def test_default_engines_registered_in_order(self):
-        assert registered_engines()[:4] == (
-            "backtracking", "plan", "shared", "columnar")
+        assert registered_engines()[:3] == (
+            "backtracking", "shared", "distributed")
 
     def test_validate_engine_message_enumerates_dynamically(self):
         with pytest.raises(EvaluationError) as excinfo:
@@ -188,10 +187,11 @@ class TestEngineRegistry:
         for name in registered_engines():
             assert name in message
 
-    def test_default_engine_misconfiguration_fails_fast(self, monkeypatch):
+    @pytest.mark.parametrize("engine", ["warp-drive", "plan", "columnar"])
+    def test_default_engine_misconfiguration_fails_fast(self, monkeypatch, engine):
         from repro.pdms import default_engine
 
-        monkeypatch.setenv("REPRO_DEFAULT_ENGINE", "warp-drive")
+        monkeypatch.setenv("REPRO_DEFAULT_ENGINE", engine)
         with pytest.raises(EvaluationError) as excinfo:
             default_engine()
         message = str(excinfo.value)
@@ -536,7 +536,6 @@ class TestServicePlanCache:
         query = parse_query(FAN_OUT_QUERY)
         shared = service.answer(query)
         assert shared == service.answer(query, engine="backtracking")
-        assert shared == service.answer(query, engine="plan")
         assert set(service.stream(query)) == shared
 
 
